@@ -1,13 +1,12 @@
-//! Query-engine benchmark: kNN pruning over the compressed form, the
-//! continuous-geofence pipeline under live ingest, and the adaptive
-//! window planner.
+//! Query-engine benchmark: kNN pruning over the compressed form and the
+//! continuous-geofence pipeline under live ingest.
 //!
 //! ```text
 //! cargo run --release -p traj-bench --bin query_bench
 //! cargo run --release -p traj-bench --bin query_bench -- --devices 256 --k 20
 //! ```
 //!
-//! Three sections, each with a built-in correctness gate:
+//! Two sections, each with a built-in correctness gate:
 //!
 //! * **kNN**: every pruned search must return the bit-identical ranking
 //!   of the exhaustive scan; the aggregate device/block prune ratios are
@@ -18,8 +17,6 @@
 //!   `(fence, device, block)` set recomputed independently from the
 //!   block metadata.  The alert count and the metadata skip ratio are
 //!   gated; delivery latency from wave start rides along ungated.
-//! * **Planner**: adaptively ordered window queries must return the
-//!   same matches as the fixed-order path; kill ratios are reported.
 //!
 //! Deterministic ratios and counts gate the `bench_compare` regression
 //! check; wall-clock numbers ride along ungated.
@@ -31,13 +28,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use traj_bench::harness::{BenchReport, Direction};
-use traj_bench::table::TextTable;
 use traj_data::{DatasetGenerator, DatasetKind};
 use traj_geo::{BoundingBox, Point};
 use traj_pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
 use traj_store::{
-    compress_fleet_into_shared_store, compress_fleet_into_store, Planner, ShardedStore,
-    StoreConfig, TrajStore,
+    compress_fleet_into_shared_store, compress_fleet_into_store, ShardedStore, StoreConfig,
+    TrajStore,
 };
 
 use traj_model::Trajectory;
@@ -279,64 +275,6 @@ fn knn_bench(
         false,
     );
 
-    planner_bench(options, fleet, &store)
-}
-
-/// Adaptive planner over the same store: ordered evaluation must not
-/// change any answer.
-fn planner_bench(
-    options: &Options,
-    fleet: &[(DeviceId, Trajectory)],
-    store: &TrajStore,
-) -> Result<(), String> {
-    let planner = Planner::new();
-    let half = 300.0;
-    for w in 0..options.probes {
-        let (_, traj) = &fleet[(w * 53) % fleet.len()];
-        let centre = traj.point((traj.len() / (w + 2)).min(traj.len() - 1));
-        let window = BoundingBox {
-            min_x: centre.x - half,
-            min_y: centre.y - half,
-            max_x: centre.x + half,
-            max_y: centre.y + half,
-        };
-        // Alternate a selective time range in, so the planner sees both
-        // time kills and spatial kills and has something to reorder.
-        let time = (w % 2 == 0).then(|| {
-            let d = traj.duration();
-            (d * 0.45, d * 0.55)
-        });
-        let planned = store.planned_window_query(&planner, &window, time);
-        let fixed = store.window_query(&window, time);
-        if planned.matches != fixed.matches {
-            return Err(format!(
-                "window {w}: planned evaluation changed the answer ({} vs {} matches)",
-                planned.matches.len(),
-                fixed.matches.len()
-            ));
-        }
-    }
-    let snapshot = planner.snapshot();
-    let mut table = TextTable::new(vec!["predicate", "evaluated", "killed", "kill ratio"]);
-    for (i, p) in snapshot.predicates.iter().enumerate() {
-        table.row(vec![
-            traj_store::PlannerSnapshot::predicate_name(i).to_string(),
-            format!("{}", p.evaluated),
-            format!("{}", p.killed),
-            format!("{:.1}%", p.kill_ratio() * 100.0),
-        ]);
-    }
-    println!(
-        "\n── adaptive planner ({} windows, answers unchanged) ──",
-        options.probes
-    );
-    println!("{}", table.render());
-    println!(
-        "next evaluation order: {:?}",
-        snapshot
-            .order
-            .map(traj_store::PlannerSnapshot::predicate_name)
-    );
     Ok(())
 }
 

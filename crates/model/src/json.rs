@@ -419,13 +419,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // slicing at char boundaries is safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the unescaped run up to the next quote or
+                    // backslash in one go.  Both delimiters are ASCII, so
+                    // the run of a &str input is itself valid UTF-8.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .expect("a run between ASCII delimiters of a str is UTF-8"),
+                    );
                 }
             }
         }
@@ -637,6 +641,24 @@ mod tests {
         assert_eq!(text, "-0.0");
         let back = JsonValue::parse(&text).unwrap().as_f64().unwrap();
         assert!(back == 0.0 && back.is_sign_negative());
+    }
+
+    #[test]
+    fn large_documents_parse_in_linear_time() {
+        // A 1 MiB string (with escapes and multi-byte characters mixed in)
+        // and a 100k-element array.  A parser that rescans the rest of the
+        // input per character takes minutes here; a linear one takes
+        // milliseconds even in a debug build.
+        let mut text = "aé☃\"\\\n".repeat(1 << 17);
+        text.truncate(text.floor_char_boundary(1 << 20));
+        let long = JsonValue::from(text);
+        let array = JsonValue::from((0..100_000).map(|i| i as f64).collect::<Vec<_>>());
+        let start = std::time::Instant::now();
+        for v in [long, array] {
+            assert_eq!(JsonValue::parse(&v.to_string()).unwrap(), v);
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs() < 10, "took {elapsed:?}");
     }
 
     #[test]

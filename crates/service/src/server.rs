@@ -13,7 +13,7 @@ use traj_geo::{BoundingBox, Point};
 use traj_model::json::JsonValue;
 use traj_model::SimplifiedSegment;
 use traj_obs::{Gauge, Histogram, Registry, SpanRecord, Trace};
-use traj_store::{GeofenceAlert, GeofenceRegistry, Planner, QueryStats, ShardedStore};
+use traj_store::{GeofenceAlert, GeofenceRegistry, QueryStats, ShardedStore};
 
 use crate::http::{read_request, write_json_response, write_response, Request};
 
@@ -209,10 +209,6 @@ struct Shared {
     registry: Registry,
     endpoints: EndpointMetrics,
     queue_depth: Gauge,
-    /// The selectivity-driven predicate planner `/window` queries run
-    /// through — shared so every request feeds the same kill-ratio
-    /// statistics (see [`traj_store::Planner`]).
-    planner: Planner,
 }
 
 impl Shared {
@@ -285,7 +281,6 @@ impl Server {
             registry,
             endpoints,
             queue_depth: depth_gauge,
-            planner: Planner::new(),
         });
 
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(queue_depth);
@@ -680,7 +675,7 @@ fn handle_window(store: &ShardedStore, shared: &Shared, request: &Request) -> (u
         Ok(t) => t,
         Err(e) => return e,
     };
-    let q = store.planned_window_query(&shared.planner, &window, time);
+    let q = store.window_query(&window, time);
     record_query_stats(shared, &q.stats);
     let matches: Vec<JsonValue> = q
         .matches
@@ -1012,54 +1007,10 @@ fn handle_stats(store: &ShardedStore, shared: &Shared) -> (u16, JsonValue) {
             ]),
         ),
     ]);
-    // The query engine: standing geofence accounting and the planner's
-    // learned predicate order.
-    let planner = shared.planner.snapshot();
+    // The query engine: standing geofence accounting.
     sections.push((
         "query",
-        JsonValue::object([
-            ("geofence", geofence_stats_json(&store.geofences().stats())),
-            (
-                "planner",
-                JsonValue::object([
-                    (
-                        "order",
-                        JsonValue::Array(
-                            planner
-                                .order
-                                .iter()
-                                .map(|&i| {
-                                    JsonValue::from(traj_store::PlannerSnapshot::predicate_name(i))
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "predicates",
-                        JsonValue::Array(
-                            planner
-                                .predicates
-                                .iter()
-                                .enumerate()
-                                .map(|(i, p)| {
-                                    JsonValue::object([
-                                        (
-                                            "name",
-                                            JsonValue::from(
-                                                traj_store::PlannerSnapshot::predicate_name(i),
-                                            ),
-                                        ),
-                                        ("evaluated", JsonValue::from(p.evaluated as f64)),
-                                        ("killed", JsonValue::from(p.killed as f64)),
-                                        ("kill_ratio", JsonValue::from(p.kill_ratio())),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-        ]),
+        JsonValue::object([("geofence", geofence_stats_json(&store.geofences().stats()))]),
     ));
     // Durable stores additionally report their write-ahead log: how much
     // of the live segment is unfolded, what group commit costs, and what
@@ -1215,7 +1166,7 @@ fn render_metrics(shared: &Shared) -> String {
     );
     snap.put_gauge(
         "store_index_bytes",
-        "Approximate heap footprint of the grid index.",
+        "Heap footprint of the block index.",
         &[],
         mem.index_bytes as f64,
     );
@@ -1265,22 +1216,6 @@ fn render_metrics(shared: &Shared) -> String {
         &[],
         geofence.ring_evicted as f64,
     );
-    let planner = shared.planner.snapshot();
-    for (i, p) in planner.predicates.iter().enumerate() {
-        let name = traj_store::PlannerSnapshot::predicate_name(i);
-        snap.put_counter(
-            "planner_predicate_evaluations_total",
-            "Window-query block predicate evaluations, by predicate.",
-            &[("predicate", name)],
-            p.evaluated,
-        );
-        snap.put_counter(
-            "planner_predicate_kills_total",
-            "Blocks dismissed by a window-query predicate, by predicate.",
-            &[("predicate", name)],
-            p.killed,
-        );
-    }
     for (shard, blocks) in shared.store.per_shard_blocks().iter().enumerate() {
         snap.put_gauge(
             "store_shard_blocks",

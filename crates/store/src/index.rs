@@ -1,18 +1,18 @@
-//! The in-memory spatio-temporal grid index.
+//! The in-memory block index: a flat zone map over block metadata.
 //!
-//! A uniform grid over the plane maps each cell to the blocks whose
-//! ζ-expanded bounding boxes touch it.  A spatial window query walks only
-//! the cells the window overlaps, collects candidate blocks, and then
-//! filters the candidates on their precise metadata (bbox and time
-//! interval) — the decode cost is paid only for blocks that survive both
-//! levels of pruning.
-
-use std::collections::HashMap;
+//! Every sealed block contributes one entry — its bounding box, the
+//! ζ + quantization slack it must be expanded by, and its time interval.
+//! A window lookup is one linear pass over the entries that evaluates
+//! exactly the block-level predicates a query would otherwise evaluate
+//! per block ([`expanded_intersects`] and the time-overlap test of
+//! [`BlockMeta::overlaps_time`]), so a block survives the lookup if and
+//! only if it may hold data relevant to the window.  Registration is one
+//! `Vec` push, and an entry costs the same whatever the block's extent.
 
 use traj_geo::BoundingBox;
 use traj_pipeline::DeviceId;
 
-use crate::block::BlockMeta;
+use crate::block::{expanded_intersects, BlockMeta};
 
 /// Identifies one block: the device stream and the block's position in
 /// that device's append-only log.
@@ -24,173 +24,71 @@ pub struct BlockRef {
     pub block: usize,
 }
 
-/// Upper bound on the number of grid cells a single block may be
-/// registered under.  A legitimate block (at most a few dozen segments of
-/// one vehicle's movement) covers a handful of cells; a block whose
-/// ζ-expanded box would cover more than this is either pathologically
-/// configured or carries corrupt metadata, and enumerating its cells could
-/// take effectively forever.  Such blocks go to the oversize list instead,
-/// which every lookup scans — correct (never skipped), just not O(1).
-const MAX_CELLS_PER_BLOCK: u64 = 4096;
-
-/// Upper bound on the number of grid cells a lookup enumerates before
-/// degrading to a full candidate scan.  Lookup windows come from untrusted
-/// callers (HTTP query parameters); without a cap a huge window would walk
-/// an effectively unbounded cell range.
-const MAX_CELLS_PER_QUERY: u64 = 1 << 16;
-
-/// A uniform spatial grid over block bounding boxes.
-#[derive(Debug, Clone)]
-pub struct GridIndex {
-    cell_size: f64,
-    cells: HashMap<(i64, i64), Vec<BlockRef>>,
-    /// Blocks too large for cell enumeration; always candidates.
-    oversize: Vec<BlockRef>,
-    blocks: usize,
+/// The skipping metadata of one registered block.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    block: BlockRef,
+    bbox: BoundingBox,
+    radius: f64,
+    t_min: f64,
+    t_max: f64,
 }
 
-impl GridIndex {
-    /// Creates an empty index with the given cell edge length (meters).
-    pub fn new(cell_size: f64) -> Self {
-        assert!(
-            cell_size.is_finite() && cell_size > 0.0,
-            "grid cell size must be finite and positive"
-        );
-        Self {
-            cell_size,
-            cells: HashMap::new(),
-            oversize: Vec::new(),
-            blocks: 0,
-        }
-    }
+/// A zone map over block metadata: one entry per block, scanned linearly.
+#[derive(Debug, Clone, Default)]
+pub struct BlockIndex {
+    entries: Vec<Entry>,
+}
 
-    /// The configured cell edge length.
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-
-    /// Number of blocks inserted.
+impl BlockIndex {
+    /// Number of blocks registered.
     pub fn num_blocks(&self) -> usize {
-        self.blocks
+        self.entries.len()
     }
 
-    /// Number of non-empty grid cells.
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Approximate heap footprint of the index in bytes: every cell entry
-    /// plus every registered block reference (hash-map overhead ignored).
+    /// Heap footprint of the index in bytes — a fixed size per block.
     pub fn approx_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(i64, i64)>() + std::mem::size_of::<Vec<BlockRef>>();
-        let refs: usize = self.cells.values().map(Vec::len).sum::<usize>() + self.oversize.len();
-        self.cells.len() * entry + refs * std::mem::size_of::<BlockRef>()
+        self.entries.capacity() * std::mem::size_of::<Entry>()
     }
 
-    #[inline]
-    fn cell_of(&self, x: f64, y: f64) -> (i64, i64) {
-        (
-            (x / self.cell_size).floor() as i64,
-            (y / self.cell_size).floor() as i64,
-        )
-    }
-
-    /// Cell range covered by a box expanded by `radius`.
-    fn cell_range(&self, bbox: &BoundingBox, radius: f64) -> ((i64, i64), (i64, i64)) {
-        let lo = self.cell_of(bbox.min_x - radius, bbox.min_y - radius);
-        let hi = self.cell_of(bbox.max_x + radius, bbox.max_y + radius);
-        (lo, hi)
-    }
-
-    /// Registers a block under every cell its ζ-expanded bounding box
-    /// touches.  The expansion at insert time means lookups do not have to
-    /// expand the *query* window by a per-block ζ they do not know.
+    /// Registers a block.  A block with an empty bounding box covers no
+    /// point and can never answer a window, so it is not registered.
     pub fn insert(&mut self, block: BlockRef, meta: &BlockMeta) {
         if meta.bbox.is_empty() {
             return;
         }
-        let ((x0, y0), (x1, y1)) = self.cell_range(&meta.bbox, meta.slack_radius());
-        // A corrupt or pathological bounding box (bit-rotted meta, absurd
-        // ζ) must not drive an effectively unbounded cell enumeration:
-        // park such blocks on the always-checked oversize list.
-        let cells =
-            (x1.saturating_sub(x0) as u64 + 1).saturating_mul(y1.saturating_sub(y0) as u64 + 1);
-        if x0 > x1 || y0 > y1 || cells > MAX_CELLS_PER_BLOCK {
-            self.oversize.push(block);
-            self.blocks += 1;
-            return;
-        }
-        for cx in x0..=x1 {
-            for cy in y0..=y1 {
-                self.cells.entry((cx, cy)).or_default().push(block);
-            }
-        }
-        self.blocks += 1;
+        self.entries.push(Entry {
+            block,
+            bbox: meta.bbox,
+            radius: meta.slack_radius(),
+            t_min: meta.t_min,
+            t_max: meta.t_max,
+        });
     }
 
-    /// Candidate blocks for a spatial window: every block registered under
-    /// a cell the window overlaps, deduplicated and in deterministic
-    /// order.  Candidates still need the precise
-    /// [`BlockMeta::may_intersect_window`] check — a cell is coarser than
-    /// a bounding box.
-    pub fn candidates(&self, window: &BoundingBox) -> Vec<BlockRef> {
+    /// The blocks whose ζ-expanded bounding box intersects `window` and,
+    /// when `time` is given, whose time interval overlaps it — sorted by
+    /// (device, block).
+    ///
+    /// Hostile windows need no special path: an empty window yields
+    /// nothing, a NaN bound fails every comparison it takes part in, and
+    /// an infinite bound simply compares.
+    pub fn candidates(&self, window: &BoundingBox, time: Option<(f64, f64)>) -> Vec<BlockRef> {
         let mut span = traj_obs::span("index_walk");
-        let out = self.candidates_impl(window);
-        span.attr("candidates", out.len());
-        out
-    }
-
-    fn candidates_impl(&self, window: &BoundingBox) -> Vec<BlockRef> {
-        if window.is_empty() {
-            return Vec::new();
-        }
-        // Hostile non-finite windows must never reach the cell walk.
-        // `is_empty()` (a `min > max` comparison) does not catch NaN —
-        // every NaN comparison is false — and `(NaN / cell).floor() as
-        // i64` saturates to 0, silently walking the cells around the
-        // origin.  A NaN bound can match nothing (all downstream
-        // comparisons are false), so answer that directly; an infinite
-        // bound means "unbounded on that side", which is exactly the
-        // full-scan path (the precise per-block check still runs).
-        let bounds = [window.min_x, window.min_y, window.max_x, window.max_y];
-        if bounds.iter().any(|v| v.is_nan()) {
-            return Vec::new();
-        }
-        if bounds.iter().any(|v| v.is_infinite()) {
-            return self.all_candidates();
-        }
-        let ((x0, y0), (x1, y1)) = self.cell_range(window, 0.0);
-        // A window spanning absurdly many cells (possible with untrusted
-        // query parameters) degrades to a full candidate scan instead of
-        // an unbounded cell walk; the precise per-block check still runs.
-        let span =
-            (x1.saturating_sub(x0) as u64 + 1).saturating_mul(y1.saturating_sub(y0) as u64 + 1);
-        if x0 > x1 || y0 > y1 || span > MAX_CELLS_PER_QUERY {
-            return self.all_candidates();
-        }
         let mut out = Vec::new();
-        for cx in x0..=x1 {
-            for cy in y0..=y1 {
-                if let Some(refs) = self.cells.get(&(cx, cy)) {
-                    out.extend_from_slice(refs);
-                }
-            }
+        if !window.is_empty() {
+            out.extend(
+                self.entries
+                    .iter()
+                    .filter(|e| {
+                        expanded_intersects(&e.bbox, e.radius, window)
+                            && time.is_none_or(|(t0, t1)| e.t_min <= t1 && t0 <= e.t_max)
+                    })
+                    .map(|e| e.block),
+            );
+            out.sort_unstable();
         }
-        // Oversize blocks are never skipped at the cell level; the precise
-        // metadata check downstream prunes them.
-        out.extend_from_slice(&self.oversize);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Every registered block, deduplicated and ordered — the degraded
-    /// answer for windows the cell walk cannot bound.
-    fn all_candidates(&self) -> Vec<BlockRef> {
-        let mut out: Vec<BlockRef> = self.cells.values().flatten().copied().collect();
-        out.extend_from_slice(&self.oversize);
-        out.sort_unstable();
-        out.dedup();
+        span.attr("candidates", out.len());
         out
     }
 }
@@ -201,6 +99,8 @@ mod tests {
     use traj_geo::{DirectedSegment, Point};
     use traj_model::SimplifiedSegment;
 
+    /// A one-segment block from `(x, y)` to `(x + 50, y + 20)` over
+    /// t ∈ [0, 60].
     fn meta_at(device: DeviceId, x: f64, y: f64, zeta: f64) -> BlockMeta {
         let seg = SimplifiedSegment::new(
             DirectedSegment::new(Point::new(x, y, 0.0), Point::new(x + 50.0, y + 20.0, 60.0)),
@@ -219,127 +119,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn finds_only_nearby_blocks() {
-        let mut index = GridIndex::new(100.0);
-        for d in 0..10u64 {
-            let meta = meta_at(d, d as f64 * 1000.0, 0.0, 10.0);
-            index.insert(
-                BlockRef {
-                    device: d,
-                    block: 0,
-                },
-                &meta,
-            );
+    fn block(device: DeviceId) -> BlockRef {
+        BlockRef { device, block: 0 }
+    }
+
+    /// Five blocks 1 km apart along the x axis, ζ = 5.
+    fn row_of_five() -> BlockIndex {
+        let mut index = BlockIndex::default();
+        for d in 0..5u64 {
+            index.insert(block(d), &meta_at(d, d as f64 * 1000.0, 0.0, 5.0));
         }
-        assert_eq!(index.num_blocks(), 10);
-        let hits = index.candidates(&window(2990.0, -10.0, 3060.0, 30.0));
-        assert!(hits.contains(&BlockRef {
-            device: 3,
-            block: 0
-        }));
-        assert!(
-            hits.len() < 10,
-            "distant blocks must be pruned, got {hits:?}"
-        );
+        index
     }
 
     #[test]
-    fn block_spanning_cells_is_found_once_from_each_side() {
-        let mut index = GridIndex::new(50.0);
-        let meta = meta_at(1, -30.0, -10.0, 5.0); // spans several 50 m cells
-        index.insert(
-            BlockRef {
-                device: 1,
-                block: 4,
-            },
-            &meta,
+    fn finds_exactly_the_overlapping_blocks() {
+        let index = row_of_five();
+        assert_eq!(index.num_blocks(), 5);
+        assert_eq!(
+            index.candidates(&window(2990.0, -10.0, 3060.0, 30.0), None),
+            vec![block(3)]
         );
-        for w in [
-            window(-40.0, -15.0, -25.0, 0.0),
-            window(10.0, 5.0, 30.0, 15.0),
-        ] {
-            let hits = index.candidates(&w);
-            assert_eq!(
-                hits,
-                vec![BlockRef {
-                    device: 1,
-                    block: 4
-                }]
+        assert_eq!(
+            index.candidates(&window(1040.0, 0.0, 2000.0, 10.0), None),
+            vec![block(1), block(2)]
+        );
+        assert!(index
+            .candidates(&window(500.0, 0.0, 600.0, 10.0), None)
+            .is_empty());
+    }
+
+    #[test]
+    fn candidates_are_sorted_by_device_then_block() {
+        let mut index = BlockIndex::default();
+        for (device, b) in [(3u64, 0usize), (1, 0), (3, 1), (1, 1), (2, 0)] {
+            index.insert(
+                BlockRef { device, block: b },
+                &meta_at(device, 0.0, 0.0, 5.0),
             );
         }
+        let hits = index.candidates(&window(0.0, 0.0, 10.0, 10.0), None);
+        let mut sorted = hits.clone();
+        sorted.sort();
+        assert_eq!(hits.len(), 5);
+        assert_eq!(hits, sorted);
     }
 
     #[test]
     fn expansion_by_zeta_keeps_near_misses() {
-        let mut index = GridIndex::new(100.0);
+        let mut index = BlockIndex::default();
         // Block near x=200, ζ=30: a window 20 m away from the bbox must
-        // still see the block as a candidate.
+        // still see the block as a candidate; one 40 m away must not.
         let meta = meta_at(2, 200.0, 0.0, 30.0);
-        index.insert(
-            BlockRef {
-                device: 2,
-                block: 0,
-            },
-            &meta,
+        index.insert(block(2), &meta);
+        let near = window(155.0, 0.0, 175.0, 10.0);
+        assert_eq!(index.candidates(&near, None), vec![block(2)]);
+        assert!(meta.may_intersect_window(&near));
+        assert!(index
+            .candidates(&window(140.0, 0.0, 160.0, 10.0), None)
+            .is_empty());
+    }
+
+    #[test]
+    fn time_range_filters_on_the_block_interval() {
+        let index = row_of_five();
+        let everywhere = window(-1e6, -1e6, 1e6, 1e6);
+        assert_eq!(index.candidates(&everywhere, Some((60.0, 90.0))).len(), 5);
+        assert!(index.candidates(&everywhere, Some((60.5, 90.0))).is_empty());
+        assert!(index
+            .candidates(&everywhere, Some((f64::NAN, 90.0)))
+            .is_empty());
+    }
+
+    #[test]
+    fn a_huge_block_is_found_and_costs_one_entry() {
+        let mut small = BlockIndex::default();
+        small.insert(block(1), &meta_at(1, 0.0, 0.0, 5.0));
+        let mut huge = BlockIndex::default();
+        let mut meta = meta_at(1, 0.0, 0.0, 5.0);
+        meta.bbox = window(-1e300, -1e300, 1e300, 1e300);
+        huge.insert(block(1), &meta);
+        assert_eq!(huge.approx_bytes(), small.approx_bytes());
+        assert_eq!(
+            huge.candidates(&window(5e299, 0.0, 6e299, 5.0), None),
+            vec![block(1)]
         );
-        let hits = index.candidates(&window(155.0, 0.0, 175.0, 10.0));
-        assert_eq!(hits.len(), 1);
-        assert!(meta.may_intersect_window(&window(155.0, 0.0, 175.0, 10.0)));
     }
 
     #[test]
-    fn pathological_bbox_goes_to_oversize_list_and_is_still_found() {
-        let mut index = GridIndex::new(10.0);
-        // A bit-rot-scale bounding box: enumerating its cells would take
-        // effectively forever; it must land on the oversize list instead.
-        let mut huge = meta_at(1, 0.0, 0.0, 5.0);
-        huge.bbox = window(-1e300, -1e300, 1e300, 1e300);
-        let r = BlockRef {
-            device: 1,
-            block: 0,
-        };
-        index.insert(r, &huge);
-        assert_eq!(index.num_blocks(), 1);
-        assert_eq!(index.num_cells(), 0, "oversize blocks occupy no cells");
-        // Every lookup still surfaces it as a candidate.
-        assert_eq!(index.candidates(&window(0.0, 0.0, 5.0, 5.0)), vec![r]);
-    }
-
-    #[test]
-    fn huge_query_window_degrades_to_full_scan() {
-        let mut index = GridIndex::new(10.0);
-        for d in 0..5u64 {
-            let meta = meta_at(d, d as f64 * 100.0, 0.0, 5.0);
-            index.insert(
-                BlockRef {
-                    device: d,
-                    block: 0,
-                },
-                &meta,
-            );
-        }
-        // This window spans ~1e299 cells; the lookup must return (all
-        // candidates) promptly instead of walking the range.
-        let hits = index.candidates(&window(-1e300, -1e300, 1e300, 1e300));
-        assert_eq!(hits.len(), 5);
-    }
-
-    #[test]
-    fn nan_window_bounds_are_rejected_before_the_cell_walk() {
-        let mut index = GridIndex::new(100.0);
-        // A block registered around the origin: exactly the cells a
-        // saturated NaN cast would land on.
-        let meta = meta_at(1, 0.0, 0.0, 5.0);
-        index.insert(
-            BlockRef {
-                device: 1,
-                block: 0,
-            },
-            &meta,
-        );
-        // `is_empty()` cannot catch these (NaN comparisons are false);
-        // they must yield no candidates, not a walk of cell (0, 0).
+    fn nan_window_bounds_yield_no_candidates() {
+        let index = row_of_five();
         for w in [
             window(f64::NAN, -10.0, 100.0, 10.0),
             window(-10.0, f64::NAN, 100.0, 10.0),
@@ -348,54 +217,54 @@ mod tests {
             window(f64::NAN, f64::NAN, f64::NAN, f64::NAN),
         ] {
             assert!(
-                index.candidates(&w).is_empty(),
+                index.candidates(&w, None).is_empty(),
                 "NaN-bounded window {w:?} must produce no candidates"
             );
         }
     }
 
     #[test]
-    fn infinite_window_bounds_route_to_the_full_scan() {
-        let mut index = GridIndex::new(100.0);
-        for d in 0..5u64 {
-            let meta = meta_at(d, d as f64 * 1000.0, 0.0, 5.0);
-            index.insert(
-                BlockRef {
-                    device: d,
-                    block: 0,
-                },
-                &meta,
-            );
-        }
-        // An unbounded side selects everything (precise per-block checks
-        // run downstream); it must not enter the cell enumeration.
-        for w in [
-            window(f64::NEG_INFINITY, -10.0, 100.0, 10.0),
-            window(-10.0, -10.0, f64::INFINITY, 10.0),
-            window(
-                f64::NEG_INFINITY,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                f64::INFINITY,
+    fn infinite_window_bounds_just_compare() {
+        let index = row_of_five();
+        let cases = [
+            // Unbounded to the left of x = 100: only the block at x = 0.
+            (window(f64::NEG_INFINITY, -10.0, 100.0, 10.0), vec![0]),
+            // Unbounded to the right of x = 2100: blocks 3 and 4.
+            (window(2100.0, -10.0, f64::INFINITY, 10.0), vec![3, 4]),
+            // Unbounded everywhere: every block.
+            (
+                window(
+                    f64::NEG_INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::INFINITY,
+                    f64::INFINITY,
+                ),
+                vec![0, 1, 2, 3, 4],
             ),
-        ] {
-            assert_eq!(index.candidates(&w).len(), 5, "window {w:?}");
+            // Unbounded in x but below every block in y: nothing.
+            (
+                window(f64::NEG_INFINITY, -100.0, f64::INFINITY, -10.0),
+                vec![],
+            ),
+        ];
+        for (w, devices) in cases {
+            let expected: Vec<BlockRef> = devices.into_iter().map(block).collect();
+            assert_eq!(index.candidates(&w, None), expected, "window {w:?}");
         }
     }
 
     #[test]
     fn empty_window_or_meta_yields_nothing() {
-        let mut index = GridIndex::new(100.0);
+        let mut index = BlockIndex::default();
         let mut meta = meta_at(1, 0.0, 0.0, 5.0);
         meta.bbox = BoundingBox::empty();
-        index.insert(
-            BlockRef {
-                device: 1,
-                block: 0,
-            },
-            &meta,
-        );
+        index.insert(block(1), &meta);
         assert_eq!(index.num_blocks(), 0);
-        assert!(index.candidates(&BoundingBox::empty()).is_empty());
+        let index = row_of_five();
+        assert!(index.candidates(&BoundingBox::empty(), None).is_empty());
+        // An inverted x range is an empty window.
+        assert!(index
+            .candidates(&window(100.0, -10.0, -100.0, 10.0), None)
+            .is_empty());
     }
 }

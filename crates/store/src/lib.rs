@@ -17,7 +17,7 @@
 //!                         per-device append-only segment logs
 //!                                      │
 //!                                      ▼  register ζ-expanded bbox
-//!                         spatio-temporal grid index (data skipping)
+//!                         block index: zone map (data skipping)
 //!                                      │
 //!            time_slice ──────────────┤   decode only overlapping blocks
 //!            window_query ────────────┤
@@ -76,12 +76,12 @@ pub mod store;
 pub mod wal;
 
 pub use block::{Block, BlockMeta};
-pub use index::{BlockRef, GridIndex};
+pub use index::{BlockIndex, BlockRef};
 pub use pager::{CacheStats, EvictionKind, EvictionPolicy};
 pub use persist::RecoveryReport;
 pub use query::{
     GeofenceAlert, GeofenceRegistry, GeofenceSpec, GeofenceStats, KnnNeighbor, KnnResult, KnnStats,
-    Planner, PlannerSnapshot, PollResult, PredicateStats, Subscription,
+    PollResult, Subscription,
 };
 pub use shard::{DurableReport, ShardedStore};
 pub use sink::{

@@ -159,7 +159,6 @@ pub(crate) fn write_store_files(
     fs::create_dir_all(dir).map_err(|e| io_err("create store directory", e))?;
     let manifest = JsonValue::object([
         ("version", JsonValue::from(FORMAT_VERSION)),
-        ("cell_size", JsonValue::from(config.cell_size)),
         ("block_segments", JsonValue::from(config.block_segments)),
         (
             "spatial_resolution",
@@ -216,7 +215,7 @@ impl TrajStore {
     }
 
     /// Opens a store persisted by [`TrajStore::save`], rebuilding the
-    /// grid index from the log.
+    /// block index from the log.
     ///
     /// Opening is **lazy**: every record is fully validated (framing,
     /// decode, metadata soundness), but only the metadata stays resident
@@ -314,7 +313,6 @@ impl TrajStore {
             Ok(v)
         };
         let config = StoreConfig::default()
-            .with_cell_size(positive("cell_size")?)
             .with_block_segments(positive("block_segments")? as usize)
             .with_codec(SegmentCodec::new(
                 positive("spatial_resolution")?,
@@ -496,11 +494,11 @@ mod tests {
         // constructor assert.
         fs::write(
             &manifest_path,
-            manifest.replace("\"cell_size\": 500", "\"cell_size\": 0"),
+            manifest.replace("\"block_segments\": 2", "\"block_segments\": 0"),
         )
         .unwrap();
         let err = TrajStore::open(&dir).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt(msg) if msg.contains("cell_size")));
+        assert!(matches!(err, StoreError::Corrupt(msg) if msg.contains("block_segments")));
 
         // Unsupported version.
         fs::write(

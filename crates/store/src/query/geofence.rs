@@ -241,7 +241,7 @@ impl GeofenceRegistry {
     ///
     /// Rejects regions with non-finite bounds, inverted regions, and
     /// time ranges that are NaN or inverted — a hostile fence must not
-    /// reach the metadata walk (cf. the grid-index hardening).
+    /// reach the metadata walk.
     pub fn register(
         &self,
         name: &str,

@@ -1,4 +1,4 @@
-//! The storage engine: per-device segment logs + grid index + queries.
+//! The storage engine: per-device segment logs + block index + queries.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -9,9 +9,8 @@ use traj_model::{SimplifiedSegment, SimplifiedTrajectory};
 use traj_pipeline::DeviceId;
 
 use crate::block::{expanded_intersects, write_record_header, Block, BlockMeta, META_RECORD_BYTES};
-use crate::index::{BlockRef, GridIndex};
+use crate::index::{BlockIndex, BlockRef};
 use crate::pager::{ArenaPool, CacheStats, EvictionKind, Pager};
-use crate::query::planner::Planner;
 use crate::wal::DurabilityMode;
 
 /// Tuning knobs of a [`TrajStore`].
@@ -21,9 +20,6 @@ pub struct StoreConfig {
     /// more precisely but pay more per-block metadata; 64 segments ≈ a few
     /// hundred bytes of payload.
     pub block_segments: usize,
-    /// Edge length of the spatial grid cells, in the coordinate unit
-    /// (meters).
-    pub cell_size: f64,
     /// The binary codec (quantization resolutions) blocks are encoded
     /// with.
     pub codec: SegmentCodec,
@@ -52,7 +48,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         Self {
             block_segments: 64,
-            cell_size: 500.0,
             codec: SegmentCodec::default(),
             format: BlockFormat::default(),
             durability: DurabilityMode::None,
@@ -66,13 +61,6 @@ impl StoreConfig {
     /// Overrides the block size (clamped to at least 1 segment).
     pub fn with_block_segments(mut self, block_segments: usize) -> Self {
         self.block_segments = block_segments.max(1);
-        self
-    }
-
-    /// Overrides the grid cell size.
-    pub fn with_cell_size(mut self, cell_size: f64) -> Self {
-        assert!(cell_size.is_finite() && cell_size > 0.0);
-        self.cell_size = cell_size;
         self
     }
 
@@ -258,7 +246,7 @@ impl StoreStats {
 pub struct MemoryStats {
     /// Payload bytes held inline (same as [`StoreStats::resident_bytes`]).
     pub resident_payload_bytes: usize,
-    /// Approximate heap footprint of the grid index.
+    /// Heap footprint of the block index.
     pub index_bytes: usize,
     /// Decode arenas allocated by queries.
     pub arena_creates: u64,
@@ -341,7 +329,7 @@ pub(crate) struct PreparedIngest {
 ///
 /// Simplified trajectories are ingested per device, encoded into compact
 /// binary blocks ([`traj_model::codec`]), appended to per-device logs and
-/// registered in a spatio-temporal grid index.  Queries answer from the
+/// registered in a block index.  Queries answer from the
 /// compressed representation, decoding only the blocks whose metadata
 /// overlaps the query — every block that can be proven irrelevant from
 /// its bounding box and time interval is skipped.
@@ -373,7 +361,7 @@ pub(crate) struct PreparedIngest {
 pub struct TrajStore {
     config: StoreConfig,
     logs: BTreeMap<DeviceId, DeviceLog>,
-    index: GridIndex,
+    index: BlockIndex,
     /// The buffer pool disk-backed payloads are fetched through.  `None`
     /// for purely in-memory stores (everything resident); shared across
     /// shards of one [`crate::ShardedStore`].
@@ -415,11 +403,10 @@ impl Default for TrajStore {
 impl TrajStore {
     /// Creates an empty store.
     pub fn new(config: StoreConfig) -> Self {
-        let index = GridIndex::new(config.cell_size);
         Self {
             config,
             logs: BTreeMap::new(),
-            index,
+            index: BlockIndex::default(),
             pager: None,
             arenas: ArenaPool::default(),
             total_blocks: 0,
@@ -880,39 +867,54 @@ impl TrajStore {
     /// range: which devices passed through `window`, and on which stored
     /// segments?
     ///
-    /// Candidate blocks come from the grid index; each candidate is
-    /// re-checked against its precise metadata and only survivors are
-    /// decoded (scope for the skip statistics: every block in the store).
+    /// The block index yields exactly the blocks whose metadata overlaps
+    /// the window and time range; only those are decoded (scope for the
+    /// skip statistics: every block in the store).
     /// Matching is conservative by `ζ + quantization slack` at both the
     /// block and the segment level, so for data ingested through
     /// [`TrajStore::ingest_with_original`] any original point inside the
     /// window is within `ζ + slack` of some returned segment of its
     /// device — no false negatives with respect to the stored bound.
     pub fn window_query(&self, window: &BoundingBox, time: Option<(f64, f64)>) -> WindowQuery {
-        self.window_query_impl(window, time, None)
-    }
-
-    /// [`TrajStore::window_query`] with the block-level predicates
-    /// evaluated in the planner's measured order (most selective first).
-    /// The predicate conjunction is unchanged, so the result is
-    /// identical to the unplanned query — only the short-circuit order
-    /// (and therefore the per-predicate work) differs.
-    pub fn planned_window_query(
-        &self,
-        planner: &Planner,
-        window: &BoundingBox,
-        time: Option<(f64, f64)>,
-    ) -> WindowQuery {
-        self.window_query_impl(window, time, Some(planner))
-    }
-
-    fn window_query_impl(
-        &self,
-        window: &BoundingBox,
-        time: Option<(f64, f64)>,
-        planner: Option<&Planner>,
-    ) -> WindowQuery {
         let mut query_span = traj_obs::span("window_query");
+        let candidates = self.index.candidates(window, time);
+        let query = self.window_matches(&candidates, window, time);
+        query_span.attr("blocks_decoded", query.stats.blocks_decoded);
+        query
+    }
+
+    /// Brute-force window reference: walks every block of every device
+    /// without the index, evaluating the block-level predicates on each
+    /// block's own metadata.  Same answer as [`TrajStore::window_query`];
+    /// used to verify that the index neither drops nor adds a block.
+    pub fn window_query_bruteforce(
+        &self,
+        window: &BoundingBox,
+        time: Option<(f64, f64)>,
+    ) -> WindowQuery {
+        let blocks: Vec<BlockRef> = self
+            .logs
+            .iter()
+            .flat_map(|(&device, log)| {
+                log.blocks.iter().enumerate().filter_map(move |(block, b)| {
+                    (!window.is_empty()
+                        && b.meta.may_intersect_window(window)
+                        && time.is_none_or(|(t0, t1)| b.meta.overlaps_time(t0, t1)))
+                    .then_some(BlockRef { device, block })
+                })
+            })
+            .collect();
+        self.window_matches(&blocks, window, time)
+    }
+
+    /// Decodes `blocks` (sorted by device, then block) and keeps the
+    /// segments that match `window` and `time`.
+    fn window_matches(
+        &self,
+        blocks: &[BlockRef],
+        window: &BoundingBox,
+        time: Option<(f64, f64)>,
+    ) -> WindowQuery {
         let mut query = WindowQuery {
             matches: Vec::new(),
             stats: QueryStats {
@@ -922,18 +924,8 @@ impl TrajStore {
         };
         let mut current: Option<DeviceMatch> = None;
         let mut arena = self.arenas.checkout();
-        for candidate in self.index.candidates(window) {
+        for candidate in blocks {
             let block = &self.logs[&candidate.device].blocks[candidate.block];
-            let survives = match planner {
-                Some(planner) => planner.check_block(&block.meta, window, time),
-                None => {
-                    block.meta.may_intersect_window(window)
-                        && time.is_none_or(|(t0, t1)| block.meta.overlaps_time(t0, t1))
-                }
-            };
-            if !survives {
-                continue;
-            }
             query.stats.blocks_decoded += 1;
             self.decode_stored(block, &mut arena)
                 .expect("stored blocks decode");
@@ -979,7 +971,6 @@ impl TrajStore {
         }
         self.arenas.checkin(arena);
         query.stats.segments_returned = query.matches.iter().map(|m| m.segments.len()).sum();
-        query_span.attr("blocks_decoded", query.stats.blocks_decoded);
         query
     }
 

@@ -230,12 +230,11 @@ fn corrupt_manifests_fail_cleanly_in_both_modes() {
         "[1,2,3]".to_string(),                          // wrong shape
         manifest.replace("\"version\"", "\"wersion\""), // missing key
         manifest.replace("\"version\": 2", "\"version\": 99"),
-        manifest.replace("\"cell_size\": 500", "\"cell_size\": 0"),
-        manifest.replace("\"cell_size\": 500", "\"cell_size\": -4"),
-        manifest.replace("\"cell_size\": 500", "\"cell_size\": \"wide\""),
+        manifest.replace("\"block_segments\": 3", "\"block_segments\": 0"),
+        manifest.replace("\"block_segments\": 3", "\"block_segments\": -4"),
+        manifest.replace("\"block_segments\": 3", "\"block_segments\": \"wide\""),
         manifest.replace("\"spatial_resolution\": 0.01", "\"spatial_resolution\": 0"),
         manifest.replace("\"time_resolution\": 0.001", "\"time_resolution\": -0.5"),
-        manifest.replace("\"block_segments\": 3", "\"block_segments\": 0"),
     ];
     for (i, text) in corruptions.iter().enumerate() {
         assert_ne!(text, &manifest, "corruption {i} is a no-op");

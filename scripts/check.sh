@@ -24,13 +24,14 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> fault-injection + fuzz + concurrency suites (release)"
+echo "==> fault-injection + fuzz + concurrency + index-differential suites (release)"
 cargo test --release -q -p traj-model --test fuzz_codec
 cargo test --release -q -p traj-store --test fault_injection
+cargo test --release -q -p traj-store --test differential_index
 cargo test --release -q -p traj-store --test concurrent_stress
 cargo test --release -q -p traj-store --test golden_e2e
 
-echo "==> query engine suites: kNN vs brute force, geofence exactly-once, planner, golden fixtures (release)"
+echo "==> query engine suites: kNN vs brute force, geofence exactly-once, golden fixtures (release)"
 cargo test --release -q -p traj-store --test query_engine
 cargo test --release -q -p traj-store --test query_golden
 cargo test --release -q -p traj-service --test query_endpoints
@@ -54,7 +55,7 @@ echo "==> store_bench smoke run (100 devices, skip ratio + ζ verification + out
 # and fails below a 50% steady-state hit ratio.
 cargo run --release -p traj-bench --bin store_bench -- --devices 100 --points 150 --windows 6 --out "$BENCH_OUT"
 
-echo "==> query_bench (kNN prune ratios + exactly-once geofence alerts + planner, all verified)"
+echo "==> query_bench (kNN prune ratios + exactly-once geofence alerts, all verified)"
 # Every pruned kNN ranking must be bit-identical to the exhaustive scan,
 # and the fired geofence alerts must equal the qualifying set recomputed
 # from block metadata; the prune/skip ratios and alert count are gated.
